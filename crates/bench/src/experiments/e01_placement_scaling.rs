@@ -5,7 +5,8 @@
 //! needs ~30 s for 7,000 servers / 17,500 applications, with runtime
 //! growing super-linearly in machine count; \[25\] takes ~30 s for 1,500
 //! VMs. The architecture's answer is pods of ≤5,000 servers running the
-//! controller independently (and, here, in parallel via rayon).
+//! controller independently (and, here, in parallel on the platform's
+//! `EpochPool`).
 //!
 //! We sweep problem sizes at the paper's 2.5 apps-per-server ratio and
 //! measure: the flat controller's wall time, a first-fit baseline, and
@@ -15,11 +16,12 @@
 
 use dcsim::rng::component_rng;
 use dcsim::table::{fnum, Table};
+use megadc::parallel::EpochPool;
+use obs::phases::REGION_POD_PLANNING;
 use placement::{
     AppReq, FirstFit, PlacementAlgorithm, PlacementProblem, ServerCap, TangController,
 };
 use rand::Rng;
-use rayon::prelude::*;
 
 /// Build a placement problem with `servers` machines and 2.5× apps with
 /// Zipf-ish demands averaging ~60% total utilization.
@@ -68,6 +70,7 @@ pub fn run(quick: bool) -> String {
     };
     let pod_size = 500usize;
     let tang = TangController::default();
+    let pool = EpochPool::default();
 
     let mut t = Table::new([
         "servers",
@@ -92,22 +95,20 @@ pub fn run(quick: bool) -> String {
         // gets a proportional slice of the apps; pods solved in parallel.
         let pods = servers.div_ceil(pod_size);
         let started = std::time::Instant::now();
-        let results: Vec<(f64, f64)> = (0..pods)
-            .into_par_iter()
-            .map(|p| {
-                let lo_s = p * pod_size;
-                let hi_s = ((p + 1) * pod_size).min(prob.servers.len());
-                let lo_a = p * prob.apps.len() / pods;
-                let hi_a = (p + 1) * prob.apps.len() / pods;
-                let sub = PlacementProblem {
-                    servers: prob.servers[lo_s..hi_s].to_vec(),
-                    apps: prob.apps[lo_a..hi_a].to_vec(),
-                };
-                let t0 = std::time::Instant::now();
-                let sat = tang.compute(&sub, None).total_satisfied();
-                (t0.elapsed().as_secs_f64(), sat)
-            })
-            .collect();
+        let pod_ids: Vec<usize> = (0..pods).collect();
+        let results = pool.map(REGION_POD_PLANNING, &pod_ids, |&p| {
+            let lo_s = p * pod_size;
+            let hi_s = ((p + 1) * pod_size).min(prob.servers.len());
+            let lo_a = p * prob.apps.len() / pods;
+            let hi_a = (p + 1) * prob.apps.len() / pods;
+            let sub = PlacementProblem {
+                servers: prob.servers[lo_s..hi_s].to_vec(),
+                apps: prob.apps[lo_a..hi_a].to_vec(),
+            };
+            let t0 = std::time::Instant::now();
+            let sat = tang.compute(&sub, None).total_satisfied();
+            (t0.elapsed().as_secs_f64(), sat)
+        });
         let hier_wall = started.elapsed().as_secs_f64();
         let hier_cpu: f64 = results.iter().map(|&(s, _)| s).sum();
         let hier_sat: f64 = results.iter().map(|&(_, s)| s).sum();

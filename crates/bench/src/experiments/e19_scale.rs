@@ -16,11 +16,11 @@
 //! evenly across thread counts instead of biasing the later ones.
 //!
 //! Besides the measured speedup the report derives the *parallel
-//! fraction* — the seconds per epoch spent in the declared parallel
-//! regions (pod planning plus the route/serve stages of demand
-//! propagation) over the single-thread epoch wall time — and the
-//! Amdahl prediction for 4 threads. On hosts without real parallelism (CI
-//! containers pinned to one core report `available_parallelism = 1`)
+//! fraction* — the seconds per epoch spent in the one declared parallel
+//! region, pod planning, over the single-thread epoch wall time — and
+//! the Amdahl prediction for 4 threads. On hosts without real
+//! parallelism (CI containers pinned to one core report
+//! `available_parallelism = 1`)
 //! the measured speedup degenerates to ~1× while the parallel fraction
 //! still shows what the engine would buy; `host_parallelism` is
 //! recorded alongside so readers can tell the two situations apart.
@@ -53,15 +53,9 @@ pub(crate) struct TierResult {
     /// Per-epoch planning seconds (sum of pod decision times), measured
     /// over the t=1 epochs only so it is commensurable with `wall(1)`.
     plan_s_per_epoch: f64,
-    /// Per-epoch seconds in the parallel demand-propagation stages
-    /// (route + serve, `PlatformMetrics::propagation_times`), t=1
-    /// epochs only — at higher thread counts on an oversubscribed host
-    /// the same regions take longer inside, which would overstate the
-    /// single-thread fraction.
-    demand_s_per_epoch: f64,
     /// Per-epoch seconds per declared epoch phase (parallel to
     /// `obs::phases::EPOCH_PHASES`), from the platform's span profiler,
-    /// t=1 epochs only for the same reason as `demand_s_per_epoch`.
+    /// t=1 epochs only for the same reason as `plan_s_per_epoch`.
     phase_s_per_epoch: Vec<f64>,
     served_final: f64,
 }
@@ -75,19 +69,27 @@ impl TierResult {
             .unwrap_or(f64::NAN)
     }
 
+    /// Per-epoch seconds in the demand route + serve phases, from the
+    /// span profiler's per-phase columns.
+    fn demand_s_per_epoch(&self) -> f64 {
+        ["demand-route", "demand-serve"]
+            .into_iter()
+            .filter_map(obs::profile::phase_index)
+            .filter_map(|i| self.phase_s_per_epoch.get(i))
+            .sum()
+    }
+
     /// Measured speedup of 4 threads over 1.
     fn speedup_t4(&self) -> f64 {
         self.wall(1) / self.wall(4)
     }
 
-    /// Fraction of the single-thread epoch spent in declared parallel
-    /// regions: pod planning (`decision_time` now covers problem
-    /// assembly plus the controller solve) plus the route/serve stages
-    /// of demand propagation (`propagation_times`). Still a lower
-    /// bound on what threads can attack — plan application, the
-    /// global knobs, and the VIP/RIP queue remain serial.
+    /// Fraction of the single-thread epoch spent in the declared
+    /// parallel region: pod planning (`decision_time` covers problem
+    /// assembly plus the controller solve). Demand propagation, plan
+    /// application, the global knobs, and the VIP/RIP queue are serial.
     fn parallel_fraction(&self) -> f64 {
-        ((self.plan_s_per_epoch + self.demand_s_per_epoch) / self.wall(1)).clamp(0.0, 1.0)
+        (self.plan_s_per_epoch / self.wall(1)).clamp(0.0, 1.0)
     }
 
     /// Amdahl's-law speedup prediction at 4 workers given the measured
@@ -143,22 +145,17 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
     let num_phases = obs::phases::EPOCH_PHASES.len();
     let mut wall_total = vec![0.0f64; THREADS.len()];
     let mut plan_total = 0.0f64;
-    let mut demand_total = 0.0f64;
     let mut phase_total = vec![0.0f64; num_phases];
     for _round in 0..rounds {
         for (i, &threads) in THREADS.iter().enumerate() {
             p.set_threads(threads);
             let plan_samples0 = p.metrics.decision_times.len();
-            let demand_samples0 = p.metrics.propagation_times.len();
             let phase0: Vec<f64> = (0..num_phases).map(|ph| p.profiler.total_s(ph)).collect();
             let t0 = Instant::now();
             p.step();
             wall_total[i] += t0.elapsed().as_secs_f64();
             if threads == 1 {
                 plan_total += p.metrics.decision_times.values()[plan_samples0..]
-                    .iter()
-                    .sum::<f64>();
-                demand_total += p.metrics.propagation_times.values()[demand_samples0..]
                     .iter()
                     .sum::<f64>();
                 for (ph, total) in phase_total.iter_mut().enumerate() {
@@ -180,7 +177,6 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
         rounds,
         wall_per_epoch_s: wall_total.iter().map(|w| w / rounds as f64).collect(),
         plan_s_per_epoch: plan_total / rounds as f64,
-        demand_s_per_epoch: demand_total / rounds as f64,
         phase_s_per_epoch: phase_total.iter().map(|s| s / rounds as f64).collect(),
         served_final,
     }
@@ -228,7 +224,7 @@ fn bench_json(quick: bool, tiers: &[TierResult]) -> String {
         out.push_str("},\"plan_s_per_epoch\":");
         obs::json::write_f64(tier.plan_s_per_epoch, &mut out);
         out.push_str(",\"demand_s_per_epoch\":");
-        obs::json::write_f64(tier.demand_s_per_epoch, &mut out);
+        obs::json::write_f64(tier.demand_s_per_epoch(), &mut out);
         out.push_str(",\"phase_s_per_epoch\":{");
         for (i, phase) in obs::phases::EPOCH_PHASES.iter().enumerate() {
             if i > 0 {
@@ -353,7 +349,7 @@ mod tests {
         assert!(tier.pods >= 1 && tier.vms >= 600);
         assert!(tier.wall_per_epoch_s.iter().all(|&w| w > 0.0));
         assert!(tier.plan_s_per_epoch >= 0.0);
-        assert!(tier.demand_s_per_epoch > 0.0);
+        assert!(tier.demand_s_per_epoch() > 0.0);
         assert!((0.0..=1.0).contains(&tier.parallel_fraction()));
         assert!(tier.amdahl_t4() >= 1.0);
         assert_eq!(

@@ -125,12 +125,12 @@ impl RouteTable {
 
     /// Every route for `prefix` that still attracts traffic at `now`:
     /// converged advertisements whose withdrawal (if any) has not yet
-    /// converged.
+    /// converged, sorted by `(padding, router)`. A range lookup over the
+    /// prefix's own keys, so the cost does not grow with the table.
     pub fn usable_routes(&self, prefix: Prefix, now: SimTime) -> Vec<ActiveRoute> {
         let mut v: Vec<ActiveRoute> = self
             .routes
-            .iter()
-            .filter(|((p, _), _)| *p == prefix)
+            .range((prefix, AccessRouterId(0))..=(prefix, AccessRouterId(u32::MAX)))
             .filter(|(_, s)| s.advertised_at + self.convergence <= now)
             .filter(|(_, s)| match s.withdrawn_at {
                 None => true,
@@ -282,6 +282,34 @@ mod tests {
                 padding: 0
             }]
         );
+    }
+
+    #[test]
+    fn lookup_sees_only_its_own_prefix_at_the_router_id_extremes() {
+        // Neighbouring prefixes at the smallest and largest router ids
+        // bracket `p`'s keys in the table; none of them may leak in.
+        const AR_MAX: AccessRouterId = AccessRouterId(u32::MAX);
+        let p: Prefix = 100;
+        let mut rt = table();
+        for prefix in [p - 1, p, p + 1] {
+            rt.advertise(prefix, AR0, 0, SimTime::ZERO);
+            rt.advertise(prefix, AR_MAX, 0, SimTime::ZERO);
+        }
+        rt.pad(p, AR0, 2, SimTime::ZERO);
+        let t = SimTime::from_secs(120);
+        let route = |router, padding| ActiveRoute { router, padding };
+        assert_eq!(
+            rt.usable_routes(p, t),
+            vec![route(AR_MAX, 0), route(AR0, 2)]
+        );
+        assert_eq!(rt.preferred_routes(p, t), vec![route(AR_MAX, 0)]);
+        for q in [p - 1, p + 1] {
+            assert_eq!(
+                rt.usable_routes(q, t),
+                vec![route(AR0, 0), route(AR_MAX, 0)]
+            );
+            assert_eq!(rt.preferred_routes(q, t), rt.usable_routes(q, t));
+        }
     }
 
     #[test]

@@ -421,8 +421,9 @@ impl LbSwitch {
     /// (the switch drops uniformly).
     pub fn distribute_vip(&self, vip: VipAddr) -> Result<Vec<(RipAddr, f64)>, SwitchError> {
         let cfg = self.vip(vip)?;
-        let scale = if self.offered_bps() > self.limits.capacity_bps {
-            self.limits.capacity_bps / self.offered_bps()
+        let offered = self.offered_bps();
+        let scale = if offered > self.limits.capacity_bps {
+            self.limits.capacity_bps / offered
         } else {
             1.0
         };

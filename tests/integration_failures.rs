@@ -3,6 +3,7 @@
 //! attributes to the fully interconnected border/LB fabric and the
 //! elasticity of the pod managers.
 
+use lbswitch::SwitchId;
 use megadc::{Platform, PlatformConfig};
 use vmm::ServerId;
 
@@ -78,6 +79,35 @@ fn server_failures_trigger_reprovisioning() {
         "service never recovered: {served_before} -> {served_after}"
     );
     p.state.assert_invariants();
+}
+
+#[test]
+fn vips_lost_with_a_second_switch_keep_demand_propagation_consistent() {
+    // Four switches with VIP-table room to absorb exactly one loss: the
+    // second loss drops VIPs and releases their addresses. DNS keeps
+    // handing the dropped VIPs out for a TTL; that share must count as
+    // unserved instead of reaching a VIP the platform no longer lists.
+    let mut cfg = PlatformConfig::pod_scale();
+    cfg.seed = 80;
+    cfg.diurnal_amplitude = 0.0;
+    cfg.total_demand_bps = 8e9;
+    cfg.num_switches = 4;
+    cfg.switch_limits.max_vips = 210;
+    let mut p = Platform::build(cfg).expect("build");
+    p.run_epochs(3);
+    let (_, lost_first, _) = p.inject_switch_failure(SwitchId(0)).expect("healthy");
+    assert_eq!(lost_first, 0, "one switch loss fits in the slack");
+    let (_, lost, _) = p.inject_switch_failure(SwitchId(1)).expect("healthy");
+    assert!(lost > 0, "the second switch loss must drop VIPs");
+    p.state.assert_invariants();
+    for _ in 0..5 {
+        let snap = p.step().clone();
+        for &vip in snap.vip_demand_bps.keys() {
+            let rec = p.state.vip(vip).expect("demand reaches only listed VIPs");
+            assert!(snap.app_demand_bps[rec.app.0 as usize] > 0.0);
+        }
+        p.state.assert_invariants();
+    }
 }
 
 #[test]

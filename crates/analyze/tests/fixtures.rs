@@ -206,6 +206,33 @@ fn undeclared_write_inside_a_parallel_region_is_caught() {
 }
 
 #[test]
+fn switch_load_setter_inside_a_parallel_region_is_caught() {
+    use analyze::phase::lint_regions;
+    let root = fixture_root("fx-phase-switch-loads");
+    // The bulk offered-load setter takes `&mut self`: called on a shared
+    // switch from a worker it is a write to `state`.
+    write(
+        &root,
+        "crates/core/src/planner.rs",
+        "#![forbid(unsafe_code)]\n\
+         pub fn plan(pool: &EpochPool, state: &mut State) {\n\
+             let mut out = Vec::new();\n\
+             pool.map_into(REGION_POD_PLANNING, &state.pods, &mut out, |pod| {\n\
+                 state.switches[pod.switch].set_offered_loads(|_| 0.0);\n\
+                 state.score(pod)\n\
+             });\n\
+         }\n",
+    );
+    let errors = lint_regions(&root, &fixture_regions());
+    assert!(
+        errors.iter().any(|e| e.starts_with("[phase-region]")
+            && e.contains("calls a mutating method on")
+            && e.contains("state")),
+        "switch load write not caught: {errors:#?}"
+    );
+}
+
+#[test]
 fn declared_thread_local_write_is_accepted() {
     use analyze::phase::lint_regions;
     let root = fixture_root("fx-phase-clean");

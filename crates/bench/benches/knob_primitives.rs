@@ -1,8 +1,9 @@
 //! Criterion bench for the data-plane primitives behind the knobs (E7's
 //! micro side): WRR selection, session open/close, fluid weight splits,
-//! DNS effective-share evaluation, and max-min allocation.
+//! switch capacity reads, DNS effective-share evaluation, and max-min
+//! allocation.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dcdns::{DnsConfig, DnsSystem};
 use dcnet::maxmin::{max_min_allocate, Flow};
 use dcsim::SimTime;
@@ -32,9 +33,24 @@ fn bench_switch(c: &mut Criterion) {
             sw.add_rip(VipAddr(0), RipAddr(r), 1.0 + (r % 7) as f64)
                 .unwrap();
         }
-        sw.set_offered_load(VipAddr(0), 3.5e9).unwrap();
+        sw.set_offered_loads(|_| 3.5e9);
         b.iter(|| sw.distribute_vip(VipAddr(0)).unwrap().len())
     });
+    // The capacity reads must cost the same on a full VIP table (4,000)
+    // as on a nearly empty one.
+    for vips in [16, SwitchLimits::CISCO_CATALYST.max_vips as u32] {
+        let mut sw = LbSwitch::new(SwitchId(1), SwitchLimits::CISCO_CATALYST);
+        for v in 0..vips {
+            sw.add_vip(VipAddr(v)).unwrap();
+        }
+        sw.set_offered_loads(|v| 1e6 + (v.0 % 97) as f64);
+        group.bench_function(format!("offered_bps_{vips}vips"), |b| {
+            b.iter(|| black_box(&sw).offered_bps())
+        });
+        group.bench_function(format!("utilization_{vips}vips"), |b| {
+            b.iter(|| black_box(&sw).utilization())
+        });
+    }
     group.bench_function("split_by_weight_64", |b| {
         let weights: Vec<f64> = (0..64).map(|i| 1.0 + (i % 7) as f64).collect();
         b.iter(|| split_by_weight(&weights, 1e9))

@@ -7,7 +7,7 @@
 //! cargo run --release -p megadc-bench --bin expt -- --events /tmp/e17.jsonl e17
 //! cargo run --release -p megadc-bench --bin expt -- --metrics /tmp/metrics.prom e16 e17
 //! cargo run --release -p megadc-bench --bin expt -- --json e16 e17
-//! cargo run --release -p megadc-bench --bin expt -- --quick --bench BENCH_scale.json e19
+//! cargo run --release -p megadc-bench --bin expt -- --bench BENCH_scale.json e19
 //! ```
 //!
 //! `--events <path>` truncates `path`, then appends the flight-recorder

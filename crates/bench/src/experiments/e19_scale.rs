@@ -26,7 +26,7 @@
 //! recorded alongside so readers can tell the two situations apart.
 //!
 //! With `--bench <path>` the tier results are written as
-//! `BENCH_scale.json`; CI regenerates the small tier and compares
+//! `BENCH_scale.json`; CI regenerates the full ladder and compares
 //! against the committed baseline with `benchcmp` (>15% wall-time
 //! regression fails).
 

@@ -619,21 +619,30 @@ impl PlatformState {
     /// Check every cross-component invariant; panics with a description on
     /// the first violation. O(everything) — tests and E12 only.
     pub fn assert_invariants(&self) {
-        // Every recorded VIP is configured on exactly the recorded switch.
+        // Every recorded VIP is configured on exactly the recorded switch,
+        // and every VIP configured on a switch is recorded there: the
+        // demand stage sets offered loads by walking the switch tables.
         for (&vip, rec) in &self.vips {
-            for sw in &self.switches {
-                let has = sw.has_vip(vip);
-                assert_eq!(
-                    has,
-                    sw.id() == rec.switch,
-                    "{vip} presence on {} contradicts record",
-                    sw.id()
-                );
-            }
+            assert!(
+                self.switches[rec.switch.0 as usize].has_vip(vip),
+                "{vip} missing from its recorded {}",
+                rec.switch
+            );
             assert!(
                 self.apps[rec.app.0 as usize].vips.contains(&vip),
                 "{vip} missing from its app's VIP list"
             );
+        }
+        for sw in &self.switches {
+            for (vip, _) in sw.vips() {
+                let rec = self.vips.get(&vip);
+                assert_eq!(
+                    rec.map(|r| r.switch),
+                    Some(sw.id()),
+                    "{vip} configured on {} without a record naming it",
+                    sw.id()
+                );
+            }
         }
         // Switch limits hold.
         for sw in &self.switches {
@@ -721,6 +730,15 @@ mod tests {
             .unwrap();
         assert_eq!(st.vip(vip).unwrap().router, Some(AccessRouterId(1)));
         assert_eq!(st.routes.updates_sent(), 1);
+        st.assert_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "configured on lb1 without a record naming it")]
+    fn switch_only_vip_trips_the_invariants() {
+        let mut st = state();
+        st.allocate_vip(AppId(0), SwitchId(0)).unwrap();
+        st.switches[1].add_vip(VipAddr(9_999)).unwrap();
         st.assert_invariants();
     }
 

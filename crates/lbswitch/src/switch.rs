@@ -123,6 +123,10 @@ pub struct LbSwitch {
     id: SwitchId,
     limits: SwitchLimits,
     vips: BTreeMap<VipAddr, VipConfig>,
+    /// `vips`' offered loads summed in map order: bit for bit the value a
+    /// fresh `offered_sum` of `vips` gives, kept so that the capacity
+    /// reads are O(1) in the number of VIPs.
+    offered_total: f64,
     rip_total: usize,
     total_conns: u64,
     reconfigs: u64,
@@ -132,10 +136,12 @@ impl LbSwitch {
     /// Create a switch with the given limits.
     pub fn new(id: SwitchId, limits: SwitchLimits) -> Self {
         limits.validate();
+        let vips = BTreeMap::new();
         LbSwitch {
             id,
             limits,
-            vips: BTreeMap::new(),
+            offered_total: offered_sum(&vips),
+            vips,
             rip_total: 0,
             total_conns: 0,
             reconfigs: 0,
@@ -206,6 +212,10 @@ impl LbSwitch {
             return Err(SwitchError::VipLimitExceeded);
         }
         self.vips.insert(vip, VipConfig::default());
+        // The new VIP offers `+0.0`. The loads are non-negative, so a fresh
+        // re-sum with it equals the old total `+ 0.0` to the bit, including
+        // an empty switch's `-0.0` becoming `+0.0`.
+        self.offered_total += 0.0;
         self.reconfigs += 1;
         Ok(())
     }
@@ -219,6 +229,8 @@ impl LbSwitch {
             return Err(SwitchError::NotQuiescent(vip, live));
         }
         let cfg = self.vips.remove(&vip).expect("checked above");
+        // Subtracting the load would round differently from a re-sum.
+        self.offered_total = offered_sum(&self.vips);
         self.rip_total -= cfg.rips.len();
         self.reconfigs += 1;
         Ok(cfg.rips)
@@ -229,6 +241,7 @@ impl LbSwitch {
     /// the quiescence-gated transfer exists to avoid.
     pub fn force_remove_vip(&mut self, vip: VipAddr) -> Result<(Vec<RipEntry>, u64), SwitchError> {
         let cfg = self.vips.remove(&vip).ok_or(SwitchError::UnknownVip(vip))?;
+        self.offered_total = offered_sum(&self.vips);
         let dropped = cfg.active_conns();
         self.total_conns -= dropped;
         self.rip_total -= cfg.rips.len();
@@ -381,20 +394,21 @@ impl LbSwitch {
 
     // ---- fluid data plane ------------------------------------------------
 
-    /// Set the offered external load of one VIP for this epoch (bits/s).
-    pub fn set_offered_load(&mut self, vip: VipAddr, bps: f64) -> Result<(), SwitchError> {
-        assert!(bps >= 0.0 && bps.is_finite());
-        let cfg = self
-            .vips
-            .get_mut(&vip)
-            .ok_or(SwitchError::UnknownVip(vip))?;
-        cfg.offered_bps = bps;
-        Ok(())
+    /// Set this epoch's offered external load (bits/s) of every VIP on the
+    /// switch to `load(vip)`, called once per VIP in address order, and
+    /// re-sum the switch total once.
+    pub fn set_offered_loads(&mut self, mut load: impl FnMut(VipAddr) -> f64) {
+        for (&vip, cfg) in &mut self.vips {
+            let bps = load(vip);
+            assert!(bps >= 0.0 && bps.is_finite(), "{vip} load {bps}");
+            cfg.offered_bps = bps;
+        }
+        self.offered_total = offered_sum(&self.vips);
     }
 
     /// Total offered load across all VIPs, bits/s.
     pub fn offered_bps(&self) -> f64 {
-        self.vips.values().map(|c| c.offered_bps).sum()
+        self.offered_total
     }
 
     /// Load actually served: offered load capped at switch capacity.
@@ -435,6 +449,11 @@ impl LbSwitch {
             .map(|(r, s)| (r.rip, s))
             .collect())
     }
+}
+
+/// The switch's offered loads summed in VIP address order.
+fn offered_sum(vips: &BTreeMap<VipAddr, VipConfig>) -> f64 {
+    vips.values().map(|c| c.offered_bps).sum()
 }
 
 #[cfg(test)]
@@ -578,8 +597,7 @@ mod tests {
         sw.add_vip(VipAddr(1)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
         sw.add_rip(VipAddr(1), RipAddr(2), 1.0).unwrap();
-        sw.set_offered_load(VipAddr(0), 3e9).unwrap();
-        sw.set_offered_load(VipAddr(1), 3e9).unwrap();
+        sw.set_offered_loads(|_| 3e9);
         assert!((sw.utilization() - 1.5).abs() < 1e-9);
         assert!((sw.served_bps() - 4e9).abs() < 1.0);
         // Each VIP is scaled by 4/6.
@@ -593,7 +611,7 @@ mod tests {
         sw.add_vip(VipAddr(0)).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(1), 1.0).unwrap();
         sw.add_rip(VipAddr(0), RipAddr(2), 1.0).unwrap();
-        sw.set_offered_load(VipAddr(0), 2e9).unwrap();
+        sw.set_offered_loads(|_| 2e9);
         sw.set_rip_weight(VipAddr(0), RipAddr(2), 3.0).unwrap();
         let d = sw.distribute_vip(VipAddr(0)).unwrap();
         assert!((d[0].1 - 0.5e9).abs() < 1.0);
@@ -604,7 +622,7 @@ mod tests {
     fn pps_utilization_with_small_packets() {
         let mut sw = LbSwitch::new(SwitchId(0), SwitchLimits::CISCO_CATALYST);
         sw.add_vip(VipAddr(0)).unwrap();
-        sw.set_offered_load(VipAddr(0), 4e9).unwrap();
+        sw.set_offered_loads(|_| 4e9);
         // 4 Gbps of 400-byte packets = 1.25 Mpps exactly.
         assert!((sw.pps_utilization(400.0) - 1.0).abs() < 1e-9);
         // 4 Gbps of 64-byte packets would exceed the pps budget.

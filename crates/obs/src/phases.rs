@@ -195,7 +195,7 @@ pub const EPOCH_PHASES: &[PhaseDecl] = &[
     PhaseDecl {
         id: "demand-switch-reset",
         parallel: false,
-        reads: &[Snapshot, VipRipTables],
+        reads: &[Snapshot],
         writes: &[Switches, Snapshot],
         reduces: &[],
         where_: "demand::propagate_into (stage 3)",

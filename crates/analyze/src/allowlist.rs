@@ -1,7 +1,6 @@
 //! The allowlist / ratchet file (`crates/analyze/allowlist.txt`).
 //!
-//! Plain line-based format (the vendored `serde` is a no-op stub, so no
-//! structured deserialization here):
+//! Plain line-based format:
 //!
 //! ```text
 //! # comment

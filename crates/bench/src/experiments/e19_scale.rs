@@ -17,7 +17,8 @@
 //!
 //! Besides the measured speedup the report derives the *parallel
 //! fraction* — the seconds per epoch spent in the one declared parallel
-//! region, pod planning, over the single-thread epoch wall time — and
+//! region, pod planning (the profiler's `pod-planning` phase), over the
+//! single-thread epoch wall time — and
 //! the Amdahl prediction for 4 threads. On hosts without real
 //! parallelism (CI containers pinned to one core report
 //! `available_parallelism = 1`)
@@ -50,12 +51,10 @@ pub(crate) struct TierResult {
     rounds: usize,
     /// Mean wall seconds per epoch, parallel to [`THREADS`].
     wall_per_epoch_s: Vec<f64>,
-    /// Per-epoch planning seconds (sum of pod decision times), measured
-    /// over the t=1 epochs only so it is commensurable with `wall(1)`.
-    plan_s_per_epoch: f64,
     /// Per-epoch seconds per declared epoch phase (parallel to
     /// `obs::phases::EPOCH_PHASES`), from the platform's span profiler,
-    /// t=1 epochs only for the same reason as `plan_s_per_epoch`.
+    /// measured over the t=1 epochs only so they are commensurable with
+    /// `wall(1)`.
     phase_s_per_epoch: Vec<f64>,
     served_final: f64,
 }
@@ -69,14 +68,18 @@ impl TierResult {
             .unwrap_or(f64::NAN)
     }
 
-    /// Per-epoch seconds in the demand route + serve phases, from the
-    /// span profiler's per-phase columns.
-    fn demand_s_per_epoch(&self) -> f64 {
-        ["demand-route", "demand-serve"]
-            .into_iter()
-            .filter_map(obs::profile::phase_index)
+    /// Per-epoch seconds in the named phases, from the span profiler's
+    /// per-phase columns.
+    fn phases_s(&self, ids: &[&str]) -> f64 {
+        ids.iter()
+            .filter_map(|id| obs::profile::phase_index(id))
             .filter_map(|i| self.phase_s_per_epoch.get(i))
             .sum()
+    }
+
+    /// Per-epoch seconds in the demand route + serve phases.
+    fn demand_s_per_epoch(&self) -> f64 {
+        self.phases_s(&["demand-route", "demand-serve"])
     }
 
     /// Measured speedup of 4 threads over 1.
@@ -85,11 +88,12 @@ impl TierResult {
     }
 
     /// Fraction of the single-thread epoch spent in the declared
-    /// parallel region: pod planning (`decision_time` covers problem
-    /// assembly plus the controller solve). Demand propagation, plan
-    /// application, the global knobs, and the VIP/RIP queue are serial.
+    /// parallel region: the `pod-planning` phase (problem assembly, the
+    /// controller solve and the placement diff, for every pod). Demand
+    /// propagation, plan application, the global knobs, and the VIP/RIP
+    /// queue are serial.
     fn parallel_fraction(&self) -> f64 {
-        (self.plan_s_per_epoch / self.wall(1)).clamp(0.0, 1.0)
+        (self.phases_s(&["pod-planning"]) / self.wall(1)).clamp(0.0, 1.0)
     }
 
     /// Amdahl's-law speedup prediction at 4 workers given the measured
@@ -144,20 +148,15 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
 
     let num_phases = obs::phases::EPOCH_PHASES.len();
     let mut wall_total = vec![0.0f64; THREADS.len()];
-    let mut plan_total = 0.0f64;
     let mut phase_total = vec![0.0f64; num_phases];
     for _round in 0..rounds {
         for (i, &threads) in THREADS.iter().enumerate() {
             p.set_threads(threads);
-            let plan_samples0 = p.metrics.decision_times.len();
             let phase0: Vec<f64> = (0..num_phases).map(|ph| p.profiler.total_s(ph)).collect();
             let t0 = Instant::now();
             p.step();
             wall_total[i] += t0.elapsed().as_secs_f64();
             if threads == 1 {
-                plan_total += p.metrics.decision_times.values()[plan_samples0..]
-                    .iter()
-                    .sum::<f64>();
                 for (ph, total) in phase_total.iter_mut().enumerate() {
                     *total += p.profiler.total_s(ph) - phase0[ph];
                 }
@@ -176,7 +175,6 @@ fn run_tier(label: &str, apps: usize, rounds: usize) -> TierResult {
         build_s,
         rounds,
         wall_per_epoch_s: wall_total.iter().map(|w| w / rounds as f64).collect(),
-        plan_s_per_epoch: plan_total / rounds as f64,
         phase_s_per_epoch: phase_total.iter().map(|s| s / rounds as f64).collect(),
         served_final,
     }
@@ -221,9 +219,7 @@ fn bench_json(quick: bool, tiers: &[TierResult]) -> String {
             out.push_str(&format!("\"t{t}\":"));
             obs::json::write_f64(tier.wall_per_epoch_s[i], &mut out);
         }
-        out.push_str("},\"plan_s_per_epoch\":");
-        obs::json::write_f64(tier.plan_s_per_epoch, &mut out);
-        out.push_str(",\"demand_s_per_epoch\":");
+        out.push_str("},\"demand_s_per_epoch\":");
         obs::json::write_f64(tier.demand_s_per_epoch(), &mut out);
         out.push_str(",\"phase_s_per_epoch\":{");
         for (i, phase) in obs::phases::EPOCH_PHASES.iter().enumerate() {
@@ -348,7 +344,6 @@ mod tests {
         assert_eq!(tier.apps, 600);
         assert!(tier.pods >= 1 && tier.vms >= 600);
         assert!(tier.wall_per_epoch_s.iter().all(|&w| w > 0.0));
-        assert!(tier.plan_s_per_epoch >= 0.0);
         assert!(tier.demand_s_per_epoch() > 0.0);
         assert!((0.0..=1.0).contains(&tier.parallel_fraction()));
         assert!(tier.amdahl_t4() >= 1.0);
@@ -387,5 +382,36 @@ mod tests {
                 p.id
             );
         }
+    }
+
+    /// A tier whose t=1 wall is `wall_t1` and whose profiler saw
+    /// `plan_s` in pod planning and 0.2 s in demand serve per epoch.
+    fn hand_built_tier(wall_t1: f64, plan_s: f64) -> TierResult {
+        let mut phase_s_per_epoch = vec![0.0; obs::phases::EPOCH_PHASES.len()];
+        let at = |id| obs::profile::phase_index(id).expect("declared phase");
+        phase_s_per_epoch[at("pod-planning")] = plan_s;
+        phase_s_per_epoch[at("demand-serve")] = 0.2;
+        TierResult {
+            label: "hand".to_string(),
+            apps: 1,
+            pods: 1,
+            vms: 1,
+            build_s: 0.0,
+            rounds: 1,
+            wall_per_epoch_s: vec![wall_t1, 1.0, 1.0, 1.0],
+            phase_s_per_epoch,
+            served_final: 1.0,
+        }
+    }
+
+    #[test]
+    fn parallel_fraction_is_the_pod_planning_share_of_the_t1_wall() {
+        // Demand serve (0.2 s) is serial and does not count.
+        let tier = hand_built_tier(0.5, 0.125);
+        assert_eq!(tier.parallel_fraction(), 0.25);
+        assert_eq!(tier.amdahl_t4(), 1.0 / (0.75 + 0.25 / 4.0));
+        // Clamped to [0, 1]: the span can exceed a separately timed wall.
+        assert_eq!(hand_built_tier(0.25, 0.5).parallel_fraction(), 1.0);
+        assert_eq!(hand_built_tier(0.5, -0.125).parallel_fraction(), 0.0);
     }
 }

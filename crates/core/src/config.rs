@@ -9,14 +9,13 @@ use dcdns::DnsConfig;
 use dcsim::SimDuration;
 use elastic::ElasticConfig;
 use lbswitch::SwitchLimits;
-use serde::{Deserialize, Serialize};
 use vmm::{CostModel, ServerSpec};
 use workload::{RequestProfile, WorkloadConfig};
 
 /// Ablation switches for the paper's control knobs: every knob can be
 /// turned off individually so experiments can measure its contribution
 /// (E3/E4/E6 and the ablation benches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KnobFlags {
     /// §IV.A selective VIP exposure for access links.
     pub link_exposure: bool,
@@ -81,7 +80,7 @@ impl Default for KnobFlags {
 }
 
 /// Full configuration of a simulated platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformConfig {
     /// Experiment seed (drives every random stream).
     pub seed: u64,
@@ -203,12 +202,6 @@ pub struct PlatformConfig {
     pub event_ring_capacity: usize,
     /// Knob ablation switches (default: all on).
     pub knobs: KnobFlags,
-    /// Scrape the typed metrics registry (`obs::metrics`) at every epoch
-    /// close (default: on). The scrape reads only sim state and the sim
-    /// clock, so exports are byte-identical across thread counts and
-    /// shuffle seeds; disabling it skips the per-epoch registry refresh
-    /// for harnesses that do not export metrics.
-    pub metrics: bool,
     /// Proactive elasticity control plane (forecasting + predictive
     /// autoscaling + arbitration). Disabled by default: the platform
     /// stays purely reactive unless an experiment opts in.
@@ -263,7 +256,6 @@ impl PlatformConfig {
             threads: 0,
             event_ring_capacity: 0,
             knobs: KnobFlags::ALL,
-            metrics: true,
             elastic: ElasticConfig::default(),
         }
     }

@@ -1,5 +1,5 @@
-//! The one wall-clock read point in `core`: a lap timer for the phase
-//! profiler and the existing decision/propagation `Samples`.
+//! The one wall-clock read point in `core`: a lap timer feeding
+//! `obs::profile::PhaseProfiler`, the platform's only wall-time store.
 //!
 //! Wall time must never leak into deterministic outputs (event logs,
 //! metrics exports, JSON summaries) — see the `analyze` wall-clock

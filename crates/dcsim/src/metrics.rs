@@ -1,16 +1,15 @@
 //! Metrics primitives for experiment output.
 //!
 //! The experiment harness reports the quantities the paper reasons about —
-//! link utilizations, switch throughput, pod decision times, route-update
-//! counts — through these types. Everything stores raw samples (simulations
-//! here are small enough that exactness beats streaming sketches) and
-//! computes summaries on demand.
+//! link utilizations, switch throughput, route-update counts — through
+//! these types. Time series store raw points (simulations here are small
+//! enough that exactness beats streaming sketches) and compute summaries
+//! on demand.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A monotonically increasing event count (e.g. "route updates issued").
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Counter {
     value: u64,
 }
@@ -60,7 +59,7 @@ impl std::fmt::Display for TimeTravel {
 impl std::error::Error for TimeTravel {}
 
 /// A time-stamped series of observations of one quantity.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
     clamped: u64,
@@ -162,99 +161,6 @@ impl TimeSeries {
             Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
         }
     }
-}
-
-/// A bag of scalar samples with percentile summaries (e.g. per-pod decision
-/// times across a run).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Samples {
-    values: Vec<f64>,
-}
-
-impl Samples {
-    /// New empty sample set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one observation. Non-finite values are a caller bug.
-    pub fn record(&mut self, v: f64) {
-        assert!(v.is_finite(), "non-finite sample");
-        self.values.push(v);
-    }
-
-    /// Extend with many observations.
-    pub fn extend(&mut self, vs: impl IntoIterator<Item = f64>) {
-        for v in vs {
-            self.record(v);
-        }
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` if empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Raw values in insertion order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Summary statistics, or `None` if empty.
-    pub fn summary(&self) -> Option<Summary> {
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / n as f64;
-        let var = sorted.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-        Some(Summary {
-            count: n,
-            mean,
-            stddev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[n - 1],
-            p50: percentile_sorted(&sorted, 0.50),
-            p95: percentile_sorted(&sorted, 0.95),
-            p99: percentile_sorted(&sorted, 0.99),
-        })
-    }
-}
-
-/// Percentile of an already-sorted slice using the nearest-rank method.
-fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    assert!((0.0..=1.0).contains(&q));
-    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-/// Summary statistics of a [`Samples`] set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub stddev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Median (nearest-rank).
-    pub p50: f64,
-    /// 95th percentile (nearest-rank).
-    pub p95: f64,
-    /// 99th percentile (nearest-rank).
-    pub p99: f64,
 }
 
 /// Jain's fairness index over a set of loads: `(Σx)² / (n·Σx²)`.
@@ -360,24 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_of_known_set() {
-        let mut s = Samples::new();
-        s.extend([4.0, 1.0, 3.0, 2.0, 5.0]);
-        let sum = s.summary().unwrap();
-        assert_eq!(sum.count, 5);
-        assert!((sum.mean - 3.0).abs() < 1e-12);
-        assert_eq!(sum.min, 1.0);
-        assert_eq!(sum.max, 5.0);
-        assert_eq!(sum.p50, 3.0);
-        assert_eq!(sum.p99, 5.0);
-    }
-
-    #[test]
-    fn empty_samples_have_no_summary() {
-        assert!(Samples::new().summary().is_none());
-    }
-
-    #[test]
     fn fairness_extremes() {
         assert!((jains_fairness(&[1.0, 1.0, 1.0, 1.0]) - 1.0).abs() < 1e-12);
         let skew = jains_fairness(&[4.0, 0.0, 0.0, 0.0]);
@@ -400,18 +288,6 @@ mod tests {
             let n = loads.len() as f64;
             prop_assert!(f >= 1.0 / n - 1e-9);
             prop_assert!(f <= 1.0 + 1e-9);
-        }
-
-        #[test]
-        fn prop_percentiles_ordered(vals in proptest::collection::vec(-1e6f64..1e6, 1..200)) {
-            let mut s = Samples::new();
-            s.extend(vals);
-            let sum = s.summary().unwrap();
-            prop_assert!(sum.min <= sum.p50);
-            prop_assert!(sum.p50 <= sum.p95);
-            prop_assert!(sum.p95 <= sum.p99);
-            prop_assert!(sum.p99 <= sum.max);
-            prop_assert!(sum.min <= sum.mean && sum.mean <= sum.max);
         }
 
         #[test]

@@ -1,11 +1,11 @@
 //! Minimal deterministic JSON: a hand-rolled writer for event lines and
 //! a small recursive-descent parser for reading them back.
 //!
-//! The vendored `serde` stub is a no-op (offline build), so the event
-//! log format is produced and consumed here directly. Determinism
-//! requirements: object keys are written in a fixed order by the caller,
-//! floats use Rust's shortest-round-trip `Display` (never locale- or
-//! platform-dependent), and non-finite floats are written as `null`.
+//! The event log format is produced and consumed here directly.
+//! Determinism requirements: object keys are written in a fixed order by
+//! the caller, floats use Rust's shortest-round-trip `Display` (never
+//! locale- or platform-dependent), and non-finite floats are written as
+//! `null`.
 
 /// A parsed JSON value. Objects preserve insertion order (a `Vec` of
 /// pairs, not a map) so round-tripping is order-faithful.

@@ -25,8 +25,7 @@
 //!   every closure entering `megadc::parallel::EpochPool`, consumed by
 //!   the `analyze` phase checker and the generated parallel safety
 //!   matrix in DESIGN.md;
-//! * [`json`] — the hand-rolled deterministic JSON writer/parser (the
-//!   vendored serde is a no-op stub).
+//! * [`json`] — the hand-rolled deterministic JSON writer/parser.
 //!
 //! See DESIGN.md §"Observability" for the schema and sizing rationale.
 

@@ -9,6 +9,7 @@
 //! ```
 
 use dcsim::table::{fnum, Table};
+use megadc::obs::profile::phase_index;
 use megadc::{Platform, PlatformConfig, PodId};
 
 fn main() {
@@ -26,7 +27,7 @@ fn main() {
         "reweights",
         "deployments",
         "server transfers",
-        "decisions p99 (ms)",
+        "planning (ms/epoch)",
     ]);
     for i in 0..240u64 {
         let snap = platform.step().clone();
@@ -35,11 +36,8 @@ fn main() {
             let max = u.iter().cloned().fold(0.0, f64::max);
             let min = u.iter().cloned().fold(f64::INFINITY, f64::min);
             let c = platform.global.counters;
-            let p99 = platform
-                .metrics
-                .decision_times
-                .summary()
-                .map(|s| s.p99 * 1e3)
+            let planning = phase_index("pod-planning")
+                .map(|i| platform.profiler.mean_s_per_epoch(i) * 1e3)
                 .unwrap_or(0.0);
             t.row([
                 fnum(platform.now().as_secs_f64() / 60.0, 1),
@@ -48,7 +46,7 @@ fn main() {
                 c.interpod_weight_adjustments.to_string(),
                 c.deployments_completed.to_string(),
                 c.server_transfers.to_string(),
-                fnum(p99, 2),
+                fnum(planning, 2),
             ]);
         }
     }

@@ -6,6 +6,7 @@
 //! ```
 
 use dcsim::table::{fnum, Table};
+use megadc::obs::profile::phase_index;
 use megadc::{Platform, PlatformConfig};
 
 fn main() {
@@ -71,12 +72,12 @@ fn main() {
     ]);
     println!("\n{}", t.render());
 
-    if let Some(summary) = platform.metrics.decision_times.summary() {
+    if let Some(planning) = phase_index("pod-planning") {
+        let profiler = &platform.profiler;
         println!(
-            "pod-manager decision time: mean {:.2} ms, p99 {:.2} ms (over {} rounds)",
-            summary.mean * 1e3,
-            summary.p99 * 1e3,
-            summary.count
+            "pod planning (all pods): mean {:.2} ms per epoch (over {} epochs)",
+            profiler.mean_s_per_epoch(planning) * 1e3,
+            profiler.epochs()
         );
     }
     platform.state.assert_invariants();

@@ -72,7 +72,7 @@ fn metrics_export_is_byte_identical_across_threads_and_shuffle() {
     }
 }
 
-/// The scrape is on by default and produced real observations: counters
+/// The per-epoch scrape produced real observations: counters
 /// advanced, utilization histograms filled, and the SLO score tracked
 /// the flash crowd's overload window.
 #[test]
@@ -104,10 +104,4 @@ fn scrape_populates_counters_histograms_and_slo() {
         r.counter(ids::SLO_OVERLOAD_EPOCHS) > 0,
         "flash crowd produced no SLO overload epochs"
     );
-    // Disabling the knob stops the scrape entirely.
-    let mut cfg = e17_config(1);
-    cfg.metrics = false;
-    let mut off = Platform::build(cfg).expect("build");
-    off.run_epochs(5);
-    assert_eq!(off.registry.counter(ids::EPOCHS), 0);
 }
